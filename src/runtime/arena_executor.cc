@@ -173,23 +173,22 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
 void ArenaExecutor::Run(const std::vector<Tensor>& inputs) {
   SERENITY_CHECK_EQ(inputs.size(), num_graph_inputs_)
       << "graph expects a tensor per kInput node";
+  RunBinding([&inputs](std::size_t ordinal, Tensor& view) {
+    SERENITY_CHECK(inputs[ordinal].shape() == view.shape())
+        << "input tensor shape mismatch for graph input " << ordinal;
+    view.CopyFrom(inputs[ordinal]);
+  });
+}
+
+void ArenaExecutor::BeginRun() {
   touched_peak_bytes_ = -1;
   if (options_.measure_touched_peak) {
     std::fill_n(arena_base_, arena_floats_,
                 std::bit_cast<float>(kCanaryBits));
   }
-  for (const graph::NodeId id : plan_.schedule) {
-    const graph::Node& node = graph_.node(id);
-    if (node.kind == graph::OpKind::kInput) {
-      const Tensor& provided = inputs[static_cast<std::size_t>(
-          input_ordinal_[static_cast<std::size_t>(id)])];
-      SERENITY_CHECK(provided.shape() == node.shape)
-          << "input tensor shape mismatch for '" << node.name << "'";
-      value_views_[static_cast<std::size_t>(id)].CopyFrom(provided);
-    } else {
-      Execute(node);
-    }
-  }
+}
+
+void ArenaExecutor::EndRun() {
   if (options_.measure_touched_peak) {
     std::size_t top = arena_floats_;
     while (top > 0 && std::bit_cast<std::uint32_t>(arena_base_[top - 1]) ==
@@ -221,7 +220,7 @@ void ArenaExecutor::Execute(const graph::Node& node) {
 
   switch (node.kind) {
     case graph::OpKind::kInput:
-      SERENITY_CHECK(false) << "inputs are bound in Run";
+      SERENITY_CHECK(false) << "inputs are bound by RunBinding";
       break;
     case graph::OpKind::kConv2d:
       k.Conv2dInto(*in[0], w.conv, node.conv, out);

@@ -71,6 +71,29 @@ class ArenaExecutor {
   // nodes in ascending node-id order. Performs no heap allocation.
   void Run(const std::vector<Tensor>& inputs);
 
+  // Executes the plan's schedule, letting the caller write each graph input
+  // straight into its placement (the serve path decodes wire bytes there):
+  // when the schedule reaches input `ordinal` (kInput nodes in ascending
+  // node-id order), `bind(ordinal, view)` must fill `view` — the input's
+  // placement, of the input's shape — completely. An input is bound at its
+  // own schedule step, never earlier: the plan may place a late input over
+  // buffers that die before that step. With measure_touched_peak the
+  // canary fill comes before the first binding. Performs no heap allocation
+  // beyond what `bind` does.
+  template <typename Bind>
+  void RunBinding(Bind&& bind) {
+    BeginRun();
+    for (const graph::NodeId id : plan_.schedule) {
+      const std::size_t i = static_cast<std::size_t>(id);
+      if (input_ordinal_[i] >= 0) {
+        bind(static_cast<std::size_t>(input_ordinal_[i]), value_views_[i]);
+      } else {
+        Execute(graph_.node(id));
+      }
+    }
+    EndRun();
+  }
+
   // Zero-allocation access to the sink values, in ascending node-id order:
   // views into the arena, valid until the next Run.
   const std::vector<const Tensor*>& SinkViews() const { return sink_views_; }
@@ -97,6 +120,8 @@ class ArenaExecutor {
   std::int64_t touched_peak_bytes() const { return touched_peak_bytes_; }
 
  private:
+  void BeginRun();  // canary fill (measure_touched_peak)
+  void EndRun();    // touched-peak scan (measure_touched_peak)
   void Execute(const graph::Node& node);
 
   const graph::Graph& graph_;

@@ -28,6 +28,7 @@
 #ifndef SERENITY_RUNTIME_TENSOR_H_
 #define SERENITY_RUNTIME_TENSOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
@@ -182,9 +183,17 @@ class Tensor {
   int pixel_stride() const { return backing_c_; }
 
   // Elementwise copy from `other` (same shape) into this tensor's existing
-  // storage — never reallocates, so a bound view stays bound.
+  // storage — never reallocates, so a bound view stays bound. When both
+  // sides are contiguous, one span check covers the whole block copy.
   void CopyFrom(const Tensor& other) {
     SERENITY_CHECK(shape_ == other.shape_) << "shape mismatch in CopyFrom";
+    if (contiguous() && other.contiguous()) {
+      const std::size_t count = size();
+      SERENITY_CHECK(count <= span_elements_ && count <= other.span_elements_)
+          << "tensor access escapes its backing span";
+      if (data_ != other.data_) std::copy_n(other.data_, count, data_);
+      return;
+    }
     ForEachIndex([&](int n, int h, int w, int c) {
       At(n, h, w, c) = other.At(n, h, w, c);
     });

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "runtime/arena_executor.h"
@@ -67,6 +68,15 @@ class InferenceSession {
   // One inference. `inputs` correspond to the scheduled graph's kInput
   // nodes in ascending node-id order. Zero heap allocations inside.
   void Run(const std::vector<runtime::Tensor>& inputs);
+
+  // One inference whose inputs `bind` writes straight into their arena
+  // placements (runtime::ArenaExecutor::RunBinding). Zero heap allocations
+  // inside beyond what `bind` does.
+  template <typename Bind>
+  void RunBinding(Bind&& bind) {
+    executor_->RunBinding(std::forward<Bind>(bind));
+    ++inferences_;
+  }
 
   // Batched inputs, executed sequentially out of the same arena (the edge
   // deployment model: one arena, many inferences).

@@ -86,25 +86,36 @@ util::StatusOr<TcpClient> TcpClient::Connect(int port,
   return client;
 }
 
-util::StatusOr<std::string> TcpClient::Call(const wire::Request& request,
-                                            double timeout_seconds) {
+util::StatusOr<std::string_view> TcpClient::Exchange(
+    const wire::Request& request, double timeout_seconds,
+    std::string* frame) {
   if (fd_ < 0) {
     return util::FailedPreconditionError("client is not connected");
   }
   retry_after_millis_ = 0;
-  SERENITY_RETURN_IF_ERROR(wire::WriteFrame(fd_, wire::EncodeRequest(request),
-                                            timeout_seconds,
-                                            max_frame_bytes_));
-  util::StatusOr<std::string> frame = wire::ReadFrame(
+  SERENITY_RETURN_IF_ERROR(
+      wire::WriteRequest(fd_, request, timeout_seconds, max_frame_bytes_));
+  util::StatusOr<std::string> read = wire::ReadFrame(
       fd_, max_frame_bytes_, timeout_seconds, timeout_seconds);
-  if (!frame.ok()) return frame.status();
-  util::StatusOr<wire::Reply> reply = wire::DecodeReply(*frame);
+  if (!read.ok()) return read.status();
+  *frame = std::move(*read);
+  util::StatusOr<wire::ReplyView> reply = wire::DecodeReply(*frame);
   if (!reply.ok()) return reply.status();
   retry_after_millis_ = reply->retry_after_millis;
   if (reply->code != util::StatusCode::kOk) {
-    return util::Status(reply->code, "server: " + reply->message);
+    return util::Status(reply->code,
+                        "server: " + std::string(reply->message));
   }
-  return std::move(reply->body);
+  return reply->body;
+}
+
+util::StatusOr<std::string> TcpClient::Call(const wire::Request& request,
+                                            double timeout_seconds) {
+  std::string frame;
+  util::StatusOr<std::string_view> body =
+      Exchange(request, timeout_seconds, &frame);
+  if (!body.ok()) return body.status();
+  return std::string(*body);
 }
 
 util::StatusOr<RemotePlan> TcpClient::Plan(const std::string& graph_text,
@@ -143,15 +154,11 @@ util::StatusOr<std::vector<runtime::Tensor>> TcpClient::Infer(
   wire::AppendU64(&request.body, hash.lo);
   wire::AppendU32(&request.body, static_cast<std::uint32_t>(inputs.size()));
   for (const runtime::Tensor& input : inputs) {
-    const graph::TensorShape& s = input.shape();
-    wire::AppendU32(&request.body, static_cast<std::uint32_t>(s.n));
-    wire::AppendU32(&request.body, static_cast<std::uint32_t>(s.h));
-    wire::AppendU32(&request.body, static_cast<std::uint32_t>(s.w));
-    wire::AppendU32(&request.body, static_cast<std::uint32_t>(s.c));
-    wire::AppendF32Array(&request.body, input.data(),
-                         static_cast<std::uint32_t>(input.size()));
+    wire::AppendTensor(&request.body, input);
   }
-  util::StatusOr<std::string> body = Call(request, timeout_seconds);
+  std::string frame;
+  util::StatusOr<std::string_view> body =
+      Exchange(request, timeout_seconds, &frame);
   if (!body.ok()) return body.status();
 
   wire::ByteReader reader(*body);

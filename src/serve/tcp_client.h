@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/canonical_hash.h"
@@ -71,6 +72,12 @@ class TcpClient {
   void Close();
 
  private:
+  // Call() without copying the body out: the reply frame lands in *frame
+  // and the returned body views it.
+  util::StatusOr<std::string_view> Exchange(const wire::Request& request,
+                                            double timeout_seconds,
+                                            std::string* frame);
+
   int fd_ = -1;
   std::uint32_t retry_after_millis_ = 0;
   std::uint32_t max_frame_bytes_ = wire::kMaxFrameBytesDefault;

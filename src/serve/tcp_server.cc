@@ -13,7 +13,9 @@
 #include <future>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "serialize/serialize.h"
 #include "util/logging.h"
@@ -46,18 +48,6 @@ bool PeerClosedNow(int fd) {
 
 util::StatusCode ClampCode(util::StatusCode code) {
   return code == util::StatusCode::kOk ? util::StatusCode::kInternal : code;
-}
-
-// Tensor body codec: u32 n,h,w,c then the bit-exact f32 payload. Mirrored
-// by serve::TcpClient — change both or neither (DESIGN.md "Wire protocol").
-void AppendTensor(std::string* out, const runtime::Tensor& tensor) {
-  const graph::TensorShape& s = tensor.shape();
-  wire::AppendU32(out, static_cast<std::uint32_t>(s.n));
-  wire::AppendU32(out, static_cast<std::uint32_t>(s.h));
-  wire::AppendU32(out, static_cast<std::uint32_t>(s.w));
-  wire::AppendU32(out, static_cast<std::uint32_t>(s.c));
-  wire::AppendF32Array(out, tensor.data(),
-                       static_cast<std::uint32_t>(tensor.size()));
 }
 
 }  // namespace
@@ -154,7 +144,7 @@ void TcpServer::SendShedAndClose(int fd, const char* why,
   reply.retry_after_millis = options_.retry_after_millis;
   reply.message = why;
   // Best-effort: a shed peer that also stopped reading just loses the hint.
-  (void)wire::WriteFrame(fd, wire::EncodeReply(reply), kShedWriteSeconds,
+  (void)wire::WriteReply(fd, reply, kShedWriteSeconds,
                          options_.max_frame_bytes);
   ::close(fd);
   std::lock_guard<std::mutex> lock(mu_);
@@ -275,28 +265,30 @@ void TcpServer::ServeConnection(int fd) {
       wire::Reply reply;
       reply.code = ClampCode(frame.status().code());
       reply.message = frame.status().message();
-      (void)wire::WriteFrame(fd, wire::EncodeReply(reply), kShedWriteSeconds,
+      (void)wire::WriteReply(fd, reply, kShedWriteSeconds,
                              options_.max_frame_bytes);
       bump(&TcpServerStats::replies_error);
       break;
     }
     idle_left = options_.idle_timeout_seconds;
-    util::StatusOr<wire::Request> request = wire::DecodeRequest(*frame);
+    util::StatusOr<wire::RequestView> request = wire::DecodeRequest(*frame);
     wire::Reply reply;
+    // An infer keeps its session leased until the reply is written, so the
+    // arena wipe on return runs after the client already has its answer.
+    SessionPool::Lease lease;
     if (!request.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       counters_.bad_frames += 1;
     }
     if (request.ok()) {
       bump(&TcpServerStats::requests);
-      reply = Handle(*request, fd);
+      reply = Handle(*request, fd, &lease);
     } else {
       reply.code = ClampCode(request.status().code());
       reply.message = request.status().message();
     }
     const util::Status wrote =
-        wire::WriteFrame(fd, wire::EncodeReply(reply),
-                         options_.write_timeout_seconds,
+        wire::WriteReply(fd, reply, options_.write_timeout_seconds,
                          options_.max_frame_bytes);
     if (!wrote.ok()) {
       bump(&TcpServerStats::timeout_closes);
@@ -309,7 +301,8 @@ void TcpServer::ServeConnection(int fd) {
   ::close(fd);
 }
 
-wire::Reply TcpServer::Handle(const wire::Request& request, int fd) {
+wire::Reply TcpServer::Handle(const wire::RequestView& request, int fd,
+                              SessionPool::Lease* lease) {
   wire::Reply reply;
   switch (request.verb) {
     case wire::Verb::kHealth:
@@ -329,18 +322,20 @@ wire::Reply TcpServer::Handle(const wire::Request& request, int fd) {
         reply.message = "server draining";
         return reply;
       }
-      return request.verb == wire::Verb::kPlan ? HandlePlan(request, fd)
-                                               : HandleInfer(request);
+      return request.verb == wire::Verb::kPlan
+                 ? HandlePlan(request, fd)
+                 : HandleInfer(request, lease);
   }
   reply.code = util::StatusCode::kInvalidArgument;
   reply.message = "unknown verb";
   return reply;
 }
 
-wire::Reply TcpServer::HandlePlan(const wire::Request& request, int fd) {
+wire::Reply TcpServer::HandlePlan(const wire::RequestView& request,
+                                  int fd) {
   wire::Reply reply;
   util::StatusOr<graph::Graph> graph =
-      serialize::GraphFromTextOr(request.body);
+      serialize::GraphFromTextOr(std::string(request.body));
   if (!graph.ok()) {
     reply.code = ClampCode(graph.status().code());
     reply.message = graph.status().message();
@@ -393,7 +388,8 @@ wire::Reply TcpServer::HandlePlan(const wire::Request& request, int fd) {
   return reply;
 }
 
-wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
+wire::Reply TcpServer::HandleInfer(const wire::RequestView& request,
+                                   SessionPool::Lease* lease) {
   wire::Reply reply;
   const auto fail = [&reply](util::StatusCode code, std::string message) {
     reply.code = code;
@@ -418,9 +414,10 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
                     "; send the graph via the plan verb first");
   }
 
-  // Validate the wire inputs against the scheduled graph's kInput nodes
-  // *before* touching the pool: shape mismatches must never reach
-  // ArenaExecutor::Run, whose contract is a CHECK.
+  // Validate the count, dims and byte length of every wire input against
+  // the scheduled graph's kInput nodes *before* touching the pool — shape
+  // mismatches must never reach the executor, whose contract is a CHECK —
+  // and note where each input's floats lie. No float is copied here.
   const graph::Graph& graph = plan->result.scheduled_graph;
   std::vector<const graph::Node*> input_nodes;
   for (const graph::Node& node : graph.nodes()) {
@@ -432,9 +429,8 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
                     " input tensors, request carries " +
                     std::to_string(num_inputs));
   }
-  std::vector<runtime::Tensor> inputs;
-  inputs.reserve(input_nodes.size());
-  for (const graph::Node* node : input_nodes) {
+  std::vector<std::string_view> input_floats(input_nodes.size());
+  for (std::size_t i = 0; i < input_nodes.size(); ++i) {
     std::uint32_t dims[4];
     for (std::uint32_t& d : dims) {
       parsed = reader.ReadU32(&d);
@@ -442,22 +438,21 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
         return fail(util::StatusCode::kInvalidArgument, parsed.message());
       }
     }
-    const graph::TensorShape& want = node->shape;
+    const graph::Node& node = *input_nodes[i];
+    const graph::TensorShape& want = node.shape;
     if (dims[0] != static_cast<std::uint32_t>(want.n) ||
         dims[1] != static_cast<std::uint32_t>(want.h) ||
         dims[2] != static_cast<std::uint32_t>(want.w) ||
         dims[3] != static_cast<std::uint32_t>(want.c)) {
       return fail(util::StatusCode::kInvalidArgument,
-                  "input tensor shape mismatch for node '" + node->name +
-                      "'");
+                  "input tensor shape mismatch for node '" + node.name + "'");
     }
-    runtime::Tensor tensor(want);
-    parsed = reader.ReadF32Array(tensor.data(),
-                                 static_cast<std::uint32_t>(tensor.size()));
+    parsed = reader.ReadBytes(
+        static_cast<std::size_t>(want.NumElements()) * sizeof(float),
+        &input_floats[i]);
     if (!parsed.ok()) {
       return fail(util::StatusCode::kInvalidArgument, parsed.message());
     }
-    inputs.push_back(std::move(tensor));
   }
   if (!reader.exhausted()) {
     return fail(util::StatusCode::kInvalidArgument,
@@ -471,20 +466,38 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
   const double wait = request.deadline_seconds > 0
                           ? request.deadline_seconds
                           : options_.default_checkout_wait_seconds;
-  util::StatusOr<SessionPool::Lease> lease =
+  util::StatusOr<SessionPool::Lease> checkout =
       pool_.Checkout(plan, wait, &drain_cancel_);
-  if (!lease.ok()) {
-    reply.code = ClampCode(lease.status().code());
-    reply.message = lease.status().message();
+  if (!checkout.ok()) {
+    reply.code = ClampCode(checkout.status().code());
+    reply.message = checkout.status().message();
     if (reply.code == util::StatusCode::kResourceExhausted) {
       reply.retry_after_millis = options_.retry_after_millis;
     }
     return reply;
   }
-  (*lease)->Run(inputs);
-  const std::vector<runtime::Tensor> sinks = (*lease)->executor().SinkValues();
+  *lease = std::move(*checkout);
+  // Each input is decoded from the request straight into its arena
+  // placement when the schedule reaches it.
+  (*lease)->RunBinding([&input_floats](std::size_t ordinal,
+                                       runtime::Tensor& view) {
+    const util::Status read =
+        wire::ByteReader(input_floats[ordinal])
+            .ReadF32Array(view.data(), static_cast<std::uint32_t>(view.size()));
+    SERENITY_CHECK(read.ok()) << read.ToString();  // lengths validated above
+  });
+  // The reply is encoded straight from the sinks' arena views.
+  const std::vector<const runtime::Tensor*>& sinks =
+      (*lease)->executor().SinkViews();
+  std::size_t body_bytes = 4;
+  for (const runtime::Tensor* sink : sinks) {
+    body_bytes += 16 + sink->size() * sizeof(float);
+  }
+  reply.body.reserve(body_bytes);
   wire::AppendU32(&reply.body, static_cast<std::uint32_t>(sinks.size()));
-  for (const runtime::Tensor& sink : sinks) AppendTensor(&reply.body, sink);
+  for (const runtime::Tensor* sink : sinks) {
+    wire::AppendTensor(&reply.body, *sink);
+  }
   return reply;
 }
 

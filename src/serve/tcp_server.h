@@ -134,9 +134,13 @@ class TcpServer {
   // Decodes and executes one request; never throws, never aborts — every
   // failure is a structured Reply. `fd` lets the plan path probe the
   // connection for a peer disconnect while the planning future is pending.
-  wire::Reply Handle(const wire::Request& request, int fd);
-  wire::Reply HandlePlan(const wire::Request& request, int fd);
-  wire::Reply HandleInfer(const wire::Request& request);
+  // An infer leaves its session in *lease, for the caller to return after
+  // the reply is written.
+  wire::Reply Handle(const wire::RequestView& request, int fd,
+                     SessionPool::Lease* lease);
+  wire::Reply HandlePlan(const wire::RequestView& request, int fd);
+  wire::Reply HandleInfer(const wire::RequestView& request,
+                          SessionPool::Lease* lease);
   wire::Reply HandleStats();
   // Best-effort shed reply (used at admission and drain time, where no
   // worker owns the connection).

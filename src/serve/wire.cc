@@ -4,10 +4,13 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <thread>
 
@@ -44,10 +47,15 @@ util::Status ErrnoError(const char* what) {
                                 std::strerror(errno));
 }
 
-util::Status SendAllUntil(int fd, const char* data, std::size_t len,
+// Sends bytes [begin, end) of the concatenation of `pieces` with gathered
+// sends, so a frame header, a message head and a body leave in one syscall
+// without first being copied into one buffer.
+util::Status SendAllUntil(int fd,
+                          std::initializer_list<std::string_view> pieces,
+                          std::size_t begin, std::size_t end,
                           Clock::time_point deadline) {
-  std::size_t sent = 0;
-  while (sent < len) {
+  std::size_t sent = begin;
+  while (sent < end) {
     const int wait = PollMillis(deadline);
     if (wait == 0 && deadline <= Clock::now()) {
       return util::DeadlineExceededError("socket write timed out");
@@ -61,13 +69,29 @@ util::Status SendAllUntil(int fd, const char* data, std::size_t len,
     if (ready == 0) {
       return util::DeadlineExceededError("socket write timed out");
     }
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
+    struct iovec iov[3];
+    std::size_t iovcnt = 0;
+    std::size_t at = 0;  // offset of the current piece in the concatenation
+    for (const std::string_view piece : pieces) {
+      const std::size_t lo = std::max(sent, at);
+      const std::size_t hi = std::min(end, at + piece.size());
+      if (lo < hi && iovcnt < std::size(iov)) {
+        iov[iovcnt].iov_base = const_cast<char*>(piece.data() + (lo - at));
+        iov[iovcnt].iov_len = hi - lo;
+        ++iovcnt;
+      }
+      at += piece.size();
+    }
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iovcnt;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       if (errno == EPIPE || errno == ECONNRESET) {
         return util::UnavailableError("connection closed by peer");
       }
-      return ErrnoError("send");
+      return ErrnoError("sendmsg");
     }
     sent += static_cast<std::size_t>(n);
   }
@@ -108,6 +132,80 @@ util::Status RecvAllUntil(int fd, char* data, std::size_t len,
   return util::OkStatus();
 }
 
+// The request head: u8 verb | u32 deadline_millis | u8 flags.
+std::string RequestHead(const Request& request) {
+  std::string head;
+  AppendU8(&head, static_cast<std::uint8_t>(request.verb));
+  std::uint32_t deadline_millis = 0;
+  if (request.deadline_seconds > 0 &&
+      request.deadline_seconds < std::numeric_limits<double>::infinity()) {
+    const double millis = request.deadline_seconds * 1e3;
+    deadline_millis = millis >= 4e9 ? 0xFFFFFFFFu
+                                    : static_cast<std::uint32_t>(millis) + 1;
+  }
+  AppendU32(&head, deadline_millis);
+  AppendU8(&head, request.allow_degraded ? 1 : 0);
+  return head;
+}
+
+// The reply head: u8 status | u32 retry_after_millis | u32 len | message.
+std::string ReplyHead(const Reply& reply) {
+  std::string head;
+  AppendU8(&head, static_cast<std::uint8_t>(reply.code));
+  AppendU32(&head, reply.retry_after_millis);
+  AppendBytes(&head, reply.message);
+  return head;
+}
+
+// Frames the payload head + body (either may be empty, not both) and
+// writes it through the socket fault hooks.
+util::Status WritePayload(int fd, std::string_view head, std::string_view body,
+                          double timeout_seconds,
+                          std::uint32_t max_frame_bytes) {
+  const std::size_t payload_bytes = head.size() + body.size();
+  if (payload_bytes == 0) {
+    return util::InvalidArgumentError("refusing to write an empty frame");
+  }
+  if (payload_bytes > max_frame_bytes) {
+    return util::InvalidArgumentError(
+        "frame of " + std::to_string(payload_bytes) +
+        " bytes exceeds the max-frame limit of " +
+        std::to_string(max_frame_bytes));
+  }
+  std::string header;
+  AppendU32(&header, static_cast<std::uint32_t>(payload_bytes));
+  AppendU32(&header, util::Crc32(body, util::Crc32(head)));
+  const std::initializer_list<std::string_view> frame = {header, head, body};
+  const std::size_t frame_bytes = header.size() + payload_bytes;
+  const Clock::time_point deadline = DeadlineFrom(timeout_seconds);
+
+  if (testing::FaultTriggered(testing::FaultPoint::kSocketTornFrame)) {
+    const std::size_t half = frame_bytes / 2;
+    SERENITY_RETURN_IF_ERROR(SendAllUntil(fd, frame, 0, half, deadline));
+    return util::DataLossError("injected torn frame: wrote " +
+                               std::to_string(half) + " of " +
+                               std::to_string(frame_bytes) + " bytes");
+  }
+  if (testing::FaultTriggered(testing::FaultPoint::kSocketDelayedByte)) {
+    // Slow-loris: start the frame, stall, then finish. A receiver with a
+    // frame deadline must cut us off during the stall.
+    const std::size_t head_bytes = 2;
+    SERENITY_RETURN_IF_ERROR(
+        SendAllUntil(fd, frame, 0, head_bytes, deadline));
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(testing::SocketDelayMillis()));
+    return SendAllUntil(fd, frame, head_bytes, frame_bytes, deadline);
+  }
+  if (testing::FaultTriggered(testing::FaultPoint::kSocketMidStreamClose)) {
+    SERENITY_RETURN_IF_ERROR(
+        SendAllUntil(fd, frame, 0, frame_bytes, deadline));
+    ::shutdown(fd, SHUT_RDWR);
+    return util::DataLossError(
+        "injected mid-stream close after a full frame");
+  }
+  return SendAllUntil(fd, frame, 0, frame_bytes, deadline);
+}
+
 }  // namespace
 
 const char* ToString(Verb verb) {
@@ -137,15 +235,50 @@ void AppendU64(std::string* out, std::uint64_t v) {
   }
 }
 
-void AppendBytes(std::string* out, const std::string& bytes) {
+void AppendBytes(std::string* out, std::string_view bytes) {
   AppendU32(out, static_cast<std::uint32_t>(bytes.size()));
   out->append(bytes);
 }
 
+// The wire carries f32 arrays as little-endian u32 bit patterns; on a
+// little-endian host that is the in-memory layout, so encode and decode are
+// single block copies.
+static_assert(std::endian::native == std::endian::little,
+              "the f32 wire codec copies host floats as little-endian words");
+
 void AppendF32Array(std::string* out, const float* values,
                     std::uint32_t count) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    AppendU32(out, std::bit_cast<std::uint32_t>(values[i]));
+  if (count == 0) return;
+  const std::size_t at = out->size();
+  out->resize(at + static_cast<std::size_t>(count) * sizeof(float));
+  std::memcpy(out->data() + at, values,
+              static_cast<std::size_t>(count) * sizeof(float));
+}
+
+void AppendTensor(std::string* out, const runtime::Tensor& tensor) {
+  const graph::TensorShape& s = tensor.shape();
+  out->reserve(out->size() + 16 + tensor.size() * sizeof(float));
+  AppendU32(out, static_cast<std::uint32_t>(s.n));
+  AppendU32(out, static_cast<std::uint32_t>(s.h));
+  AppendU32(out, static_cast<std::uint32_t>(s.w));
+  AppendU32(out, static_cast<std::uint32_t>(s.c));
+  if (tensor.contiguous()) {
+    AppendF32Array(out, tensor.data(),
+                   static_cast<std::uint32_t>(tensor.size()));
+    return;
+  }
+  // A channel window: each pixel's channels are contiguous in the backing
+  // row, pixel_stride() floats apart.
+  const auto channels = static_cast<std::uint32_t>(s.c);
+  for (int n = 0; n < s.n; ++n) {
+    for (int h = 0; h < s.h; ++h) {
+      const float* run = tensor.PixelRun(n, h, 0, s.w);
+      for (int w = 0; w < s.w; ++w) {
+        AppendF32Array(out, run + static_cast<std::size_t>(w) *
+                                      tensor.pixel_stride(),
+                       channels);
+      }
+    }
   }
 }
 
@@ -187,49 +320,41 @@ util::Status ByteReader::ReadU64(std::uint64_t* v) {
   return util::OkStatus();
 }
 
-util::Status ByteReader::ReadBytes(std::string* bytes) {
+util::Status ByteReader::ReadBytes(std::string_view* bytes) {
   std::uint32_t len = 0;
   SERENITY_RETURN_IF_ERROR(ReadU32(&len));
+  return ReadBytes(len, bytes);
+}
+
+util::Status ByteReader::ReadBytes(std::size_t len, std::string_view* bytes) {
   if (remaining() < len) {
     return util::InvalidArgumentError(
         "truncated payload: declared " + std::to_string(len) +
         " bytes, only " + std::to_string(remaining()) + " present");
   }
-  bytes->assign(data_, pos_, len);
+  *bytes = data_.substr(pos_, len);
   pos_ += len;
   return util::OkStatus();
 }
 
 util::Status ByteReader::ReadF32Array(float* out, std::uint32_t count) {
-  if (remaining() < static_cast<std::size_t>(count) * 4) {
+  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(float);
+  if (remaining() < bytes) {
     return util::InvalidArgumentError(
         "truncated payload: float array under-run");
   }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t bits = 0;
-    SERENITY_RETURN_IF_ERROR(ReadU32(&bits));
-    out[i] = std::bit_cast<float>(bits);
-  }
+  if (bytes > 0) std::memcpy(out, data_.data() + pos_, bytes);
+  pos_ += bytes;
   return util::OkStatus();
 }
 
 std::string EncodeRequest(const Request& request) {
-  std::string payload;
-  AppendU8(&payload, static_cast<std::uint8_t>(request.verb));
-  std::uint32_t deadline_millis = 0;
-  if (request.deadline_seconds > 0 &&
-      request.deadline_seconds < std::numeric_limits<double>::infinity()) {
-    const double millis = request.deadline_seconds * 1e3;
-    deadline_millis = millis >= 4e9 ? 0xFFFFFFFFu
-                                    : static_cast<std::uint32_t>(millis) + 1;
-  }
-  AppendU32(&payload, deadline_millis);
-  AppendU8(&payload, request.allow_degraded ? 1 : 0);
+  std::string payload = RequestHead(request);
   payload.append(request.body);
   return payload;
 }
 
-util::StatusOr<Request> DecodeRequest(const std::string& payload) {
+util::StatusOr<RequestView> DecodeRequest(std::string_view payload) {
   ByteReader reader(payload);
   std::uint8_t verb = 0;
   std::uint32_t deadline_millis = 0;
@@ -241,7 +366,7 @@ util::StatusOr<Request> DecodeRequest(const std::string& payload) {
       verb > static_cast<std::uint8_t>(Verb::kDrain)) {
     return util::InvalidArgumentError("unknown verb " + std::to_string(verb));
   }
-  Request request;
+  RequestView request;
   request.verb = static_cast<Verb>(verb);
   request.deadline_seconds =
       deadline_millis == 0 ? 0 : static_cast<double>(deadline_millis) / 1e3;
@@ -251,18 +376,15 @@ util::StatusOr<Request> DecodeRequest(const std::string& payload) {
 }
 
 std::string EncodeReply(const Reply& reply) {
-  std::string payload;
-  AppendU8(&payload, static_cast<std::uint8_t>(reply.code));
-  AppendU32(&payload, reply.retry_after_millis);
-  AppendBytes(&payload, reply.message);
+  std::string payload = ReplyHead(reply);
   payload.append(reply.body);
   return payload;
 }
 
-util::StatusOr<Reply> DecodeReply(const std::string& payload) {
+util::StatusOr<ReplyView> DecodeReply(std::string_view payload) {
   ByteReader reader(payload);
   std::uint8_t code = 0;
-  Reply reply;
+  ReplyView reply;
   SERENITY_RETURN_IF_ERROR(reader.ReadU8(&code));
   if (code > static_cast<std::uint8_t>(util::StatusCode::kCancelled)) {
     return util::InvalidArgumentError("unknown status code " +
@@ -277,8 +399,9 @@ util::StatusOr<Reply> DecodeReply(const std::string& payload) {
 
 util::Status SendAll(int fd, const void* data, std::size_t len,
                      double timeout_seconds) {
-  return SendAllUntil(fd, static_cast<const char*>(data), len,
-                      DeadlineFrom(timeout_seconds));
+  return SendAllUntil(
+      fd, {std::string_view(static_cast<const char*>(data), len)}, 0, len,
+      DeadlineFrom(timeout_seconds));
 }
 
 util::Status RecvAll(int fd, void* data, std::size_t len,
@@ -302,52 +425,23 @@ util::StatusOr<bool> WaitReadable(int fd, double timeout_seconds) {
   }
 }
 
-util::Status WriteFrame(int fd, const std::string& payload,
+util::Status WriteFrame(int fd, std::string_view payload,
                         double timeout_seconds,
                         std::uint32_t max_frame_bytes) {
-  if (payload.empty()) {
-    return util::InvalidArgumentError("refusing to write an empty frame");
-  }
-  if (payload.size() > max_frame_bytes) {
-    return util::InvalidArgumentError(
-        "frame of " + std::to_string(payload.size()) +
-        " bytes exceeds the max-frame limit of " +
-        std::to_string(max_frame_bytes));
-  }
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  AppendU32(&frame, static_cast<std::uint32_t>(payload.size()));
-  AppendU32(&frame, util::Crc32(payload));
-  frame.append(payload);
-  const Clock::time_point deadline = DeadlineFrom(timeout_seconds);
+  return WritePayload(fd, payload, {}, timeout_seconds, max_frame_bytes);
+}
 
-  if (testing::FaultTriggered(testing::FaultPoint::kSocketTornFrame)) {
-    const std::size_t half = frame.size() / 2;
-    SERENITY_RETURN_IF_ERROR(
-        SendAllUntil(fd, frame.data(), half, deadline));
-    return util::DataLossError("injected torn frame: wrote " +
-                               std::to_string(half) + " of " +
-                               std::to_string(frame.size()) + " bytes");
-  }
-  if (testing::FaultTriggered(testing::FaultPoint::kSocketDelayedByte)) {
-    // Slow-loris: start the frame, stall, then finish. A receiver with a
-    // frame deadline must cut us off during the stall.
-    const std::size_t head = 2;
-    SERENITY_RETURN_IF_ERROR(
-        SendAllUntil(fd, frame.data(), head, deadline));
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(testing::SocketDelayMillis()));
-    return SendAllUntil(fd, frame.data() + head, frame.size() - head,
-                        deadline);
-  }
-  if (testing::FaultTriggered(testing::FaultPoint::kSocketMidStreamClose)) {
-    SERENITY_RETURN_IF_ERROR(
-        SendAllUntil(fd, frame.data(), frame.size(), deadline));
-    ::shutdown(fd, SHUT_RDWR);
-    return util::DataLossError(
-        "injected mid-stream close after a full frame");
-  }
-  return SendAllUntil(fd, frame.data(), frame.size(), deadline);
+util::Status WriteRequest(int fd, const Request& request,
+                          double timeout_seconds,
+                          std::uint32_t max_frame_bytes) {
+  return WritePayload(fd, RequestHead(request), request.body, timeout_seconds,
+                      max_frame_bytes);
+}
+
+util::Status WriteReply(int fd, const Reply& reply, double timeout_seconds,
+                        std::uint32_t max_frame_bytes) {
+  return WritePayload(fd, ReplyHead(reply), reply.body, timeout_seconds,
+                      max_frame_bytes);
 }
 
 util::StatusOr<std::string> ReadFrame(int fd, std::uint32_t max_frame_bytes,

@@ -35,14 +35,23 @@
 // a persistent connection) from a *frame* timeout (a frame that started but
 // trickles — the slow-loris signature, answered by closing the connection).
 // Fault-injection hooks for torn frames, delayed bytes and mid-stream
-// closes live in WriteFrame (testing/fault_injection.h), which is how the
-// net chaos suite manufactures wire damage deterministically.
+// closes live in the frame writer (testing/fault_injection.h), which is how
+// the net chaos suite manufactures wire damage deterministically.
+//
+// The infer path moves hundreds of KiB per request, so the codec runs at
+// memcpy speed: f32 arrays are copied as little-endian words in one block
+// (the host order is static-asserted), the CRC is slice-by-8
+// (util/crc32.h), decoded messages view the frame they came from instead
+// of copying their body out, and WriteRequest/WriteReply send a message's
+// body from where it lies rather than concatenating it behind its head.
 #ifndef SERENITY_SERVE_WIRE_H_
 #define SERENITY_SERVE_WIRE_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "runtime/tensor.h"
 #include "util/status.h"
 
 namespace serenity::serve::wire {
@@ -74,11 +83,31 @@ struct Reply {
   std::string body;                      // present iff code == kOk
 };
 
+// A decoded request or reply: the head's fields, with `body` (and a
+// reply's `message`) viewing the payload it was decoded from. The payload
+// must outlive the view; the rvalue overloads are deleted so a temporary
+// payload cannot be decoded into a dangling view.
+struct RequestView {
+  Verb verb = Verb::kHealth;
+  double deadline_seconds = 0;  // 0 means "no deadline"
+  bool allow_degraded = true;
+  std::string_view body;
+};
+
+struct ReplyView {
+  util::StatusCode code = util::StatusCode::kOk;
+  std::uint32_t retry_after_millis = 0;
+  std::string_view message;
+  std::string_view body;
+};
+
 std::string EncodeRequest(const Request& request);
-util::StatusOr<Request> DecodeRequest(const std::string& payload);
+util::StatusOr<RequestView> DecodeRequest(std::string_view payload);
+util::StatusOr<RequestView> DecodeRequest(std::string&& payload) = delete;
 
 std::string EncodeReply(const Reply& reply);
-util::StatusOr<Reply> DecodeReply(const std::string& payload);
+util::StatusOr<ReplyView> DecodeReply(std::string_view payload);
+util::StatusOr<ReplyView> DecodeReply(std::string&& payload) = delete;
 
 // ------------------------------------------------------------ body codecs
 //
@@ -89,25 +118,34 @@ util::StatusOr<Reply> DecodeReply(const std::string& payload);
 void AppendU8(std::string* out, std::uint8_t v);
 void AppendU32(std::string* out, std::uint32_t v);
 void AppendU64(std::string* out, std::uint64_t v);
-void AppendBytes(std::string* out, const std::string& bytes);  // u32 len + bytes
+void AppendBytes(std::string* out, std::string_view bytes);  // u32 len + bytes
+// `count` floats as their bit patterns, little-endian: one block copy.
 void AppendF32Array(std::string* out, const float* values, std::uint32_t count);
+// The infer tensor codec, shared by TcpServer and TcpClient: u32 n,h,w,c
+// then the shape's floats in NHWC order. A channel-window view is streamed
+// pixel run by pixel run straight from its backing storage.
+void AppendTensor(std::string* out, const runtime::Tensor& tensor);
 
+// Reads a byte string it does not own; byte strings it hands out view
+// that same storage.
 class ByteReader {
  public:
-  explicit ByteReader(const std::string& data) : data_(data) {}
+  explicit ByteReader(std::string_view data) : data_(data) {}
 
   util::Status ReadU8(std::uint8_t* v);
   util::Status ReadU32(std::uint32_t* v);
   util::Status ReadU64(std::uint64_t* v);
-  util::Status ReadBytes(std::string* bytes);  // u32 len + bytes
-  // Reads `count` floats (bit-exact: u32 patterns reinterpreted).
+  util::Status ReadBytes(std::string_view* bytes);  // u32 len + bytes
+  util::Status ReadBytes(std::size_t len, std::string_view* bytes);  // raw
+  // Reads `count` floats (bit-exact: u32 patterns reinterpreted). One
+  // bounds check, then one block copy.
   util::Status ReadF32Array(float* out, std::uint32_t count);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
 
  private:
-  const std::string& data_;
+  std::string_view data_;
   std::size_t pos_ = 0;
 };
 
@@ -121,8 +159,20 @@ class ByteReader {
 
 // Writes the framed payload. Rejects payloads above max_frame_bytes with
 // kInvalidArgument (nothing is written). Carries the socket fault hooks.
-util::Status WriteFrame(int fd, const std::string& payload,
+// The frame header and the payload go out in one gathered send; the
+// payload is never copied.
+util::Status WriteFrame(int fd, std::string_view payload,
                         double timeout_seconds,
+                        std::uint32_t max_frame_bytes = kMaxFrameBytesDefault);
+
+// WriteFrame(fd, EncodeRequest(request), ...) and
+// WriteFrame(fd, EncodeReply(reply), ...), byte for byte, without building
+// the payload: the message head is encoded apart, the CRC is chained over
+// head and body, and the body is sent from where it lies.
+util::Status WriteRequest(
+    int fd, const Request& request, double timeout_seconds,
+    std::uint32_t max_frame_bytes = kMaxFrameBytesDefault);
+util::Status WriteReply(int fd, const Reply& reply, double timeout_seconds,
                         std::uint32_t max_frame_bytes = kMaxFrameBytesDefault);
 
 // Reads one frame. idle_timeout_seconds bounds the wait for the first

@@ -189,7 +189,7 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
         util::StatusOr<std::string> frame =
             wire::ReadFrame(client->fd(), 1u << 20, 2.0, 2.0);
         ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-        util::StatusOr<wire::Reply> reply = wire::DecodeReply(*frame);
+        util::StatusOr<wire::ReplyView> reply = wire::DecodeReply(*frame);
         ASSERT_TRUE(reply.ok());
         EXPECT_EQ(reply->code, util::StatusCode::kInvalidArgument);
         break;
@@ -213,7 +213,7 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
         util::StatusOr<std::string> raw =
             wire::ReadFrame(client->fd(), 1u << 20, 2.0, 2.0);
         ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-        util::StatusOr<wire::Reply> reply = wire::DecodeReply(*raw);
+        util::StatusOr<wire::ReplyView> reply = wire::DecodeReply(*raw);
         ASSERT_TRUE(reply.ok());
         EXPECT_EQ(reply->code, util::StatusCode::kDataLoss);
         break;
@@ -234,7 +234,7 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
           util::StatusOr<std::string> raw =
               wire::ReadFrame(client->fd(), 1u << 20, 2.0, 2.0);
           ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-          util::StatusOr<wire::Reply> reply = wire::DecodeReply(*raw);
+          util::StatusOr<wire::ReplyView> reply = wire::DecodeReply(*raw);
           ASSERT_TRUE(reply.ok());
           EXPECT_EQ(reply->code, util::StatusCode::kInvalidArgument);
         } else {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <thread>
 
@@ -226,10 +227,24 @@ TEST(SessionPool, SteadyStateCheckoutInferReturnIsZeroAlloc) {
     util::StatusOr<SessionPool::Lease> lease = pool.Checkout(plan, kInf);
     (*lease)->Run(inputs);
   }
+  // The serve path: inputs written straight into their placements, sinks
+  // read through the arena views.
+  float checksum = 0.0f;
+  for (int i = 0; i < 16; ++i) {
+    util::StatusOr<SessionPool::Lease> lease = pool.Checkout(plan, kInf);
+    (*lease)->RunBinding([&inputs](std::size_t ordinal,
+                                   runtime::Tensor& view) {
+      std::copy_n(inputs[ordinal].data(), view.size(), view.data());
+    });
+    for (const runtime::Tensor* sink : (*lease)->executor().SinkViews()) {
+      checksum += sink->At(0, 0, 0, 0);
+    }
+  }
   const std::uint64_t after = serenity::testing::ThreadAllocationCount();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations leaked into the hot path";
-  EXPECT_EQ(pool.stats().reuses, 16u);
+  EXPECT_EQ(pool.stats().reuses, 32u);
+  EXPECT_TRUE(std::isfinite(checksum));
 }
 
 }  // namespace

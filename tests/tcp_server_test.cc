@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/builder.h"
 #include "models/swiftnet.h"
 #include "runtime/executor.h"
 #include "serialize/serialize.h"
@@ -259,10 +260,142 @@ TEST(TcpServer, ConcurrentClientsAllBitIdentical) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(divergences[static_cast<std::size_t>(c)], "") << "client " << c;
   }
+  // A worker returns an infer's lease just after writing its reply, so the
+  // ledger is settled once the workers are joined.
+  h.server.RequestDrain();
+  h.server.Join();
   const SessionPoolStats pool = h.pool.stats();
   EXPECT_EQ(pool.checkouts, static_cast<std::uint64_t>(kClients * kRequests));
   EXPECT_EQ(pool.returns, pool.checkouts);
   EXPECT_EQ(pool.sessions_leased, 0u);
+}
+
+// Two inputs, the second needed only at the end: a memory-optimal schedule
+// reads it late, and the planner may place it over the wide intermediate
+// that died before it — so inputs can only be bound at their own steps.
+graph::Graph LateSecondInputGraph() {
+  graph::GraphBuilder b("late_second_input");
+  const graph::NodeId early =
+      b.Input(graph::TensorShape{1, 12, 12, 4}, "early");
+  const graph::NodeId wide = b.Conv2d(early, 32, 3);
+  const graph::NodeId narrow = b.Conv1x1(wide, 4);
+  const graph::NodeId late = b.Input(graph::TensorShape{1, 12, 12, 4}, "late");
+  b.Add({narrow, late}, "out");
+  return std::move(b).Build();
+}
+
+// True when some graph input's placement shares arena bytes with a buffer
+// written before that input's first step.
+bool SomeInputOverlapsAnEarlierBuffer(const graph::Graph& g,
+                                      const serialize::ExecutionPlan& plan) {
+  for (const graph::Node& node : g.nodes()) {
+    if (node.kind != graph::OpKind::kInput) continue;
+    const alloc::BufferPlacement* in = nullptr;
+    for (const alloc::BufferPlacement& p : plan.arena.placements) {
+      if (p.buffer == node.buffer) in = &p;
+    }
+    for (const alloc::BufferPlacement& p : plan.arena.placements) {
+      if (&p != in && p.first_step < in->first_step &&
+          p.offset < in->offset + in->size && in->offset < p.offset + p.size) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+std::string ReferenceDivergence(const CachedPlan& cached,
+                                const std::vector<runtime::Tensor>& inputs,
+                                const std::vector<runtime::Tensor>& served) {
+  runtime::ReferenceExecutor reference(cached.result.scheduled_graph);
+  reference.Run(inputs, cached.plan.schedule);
+  return serenity::testing::DescribeSinkDivergence(served,
+                                                   reference.SinkValues());
+}
+
+TEST(TcpServer, MalformedInferIsRejectedBeforeCheckout) {
+  Harness h;
+  util::StatusOr<TcpClient> client = TcpClient::Connect(h.server.port());
+  ASSERT_TRUE(client.ok());
+  util::StatusOr<RemotePlan> plan =
+      client->Plan(serialize::ToText(LateSecondInputGraph()));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::shared_ptr<const CachedPlan> cached =
+      h.service.cache().Lookup(plan->hash);
+  ASSERT_NE(cached, nullptr);
+  const std::vector<runtime::Tensor> inputs =
+      serenity::testing::RandomInputsFor(cached->result.scheduled_graph, 3);
+  ASSERT_EQ(inputs.size(), 2u);
+  ASSERT_TRUE(client->Infer(plan->hash, inputs).ok());
+  const std::uint64_t checkouts = h.pool.stats().checkouts;
+  ASSERT_EQ(checkouts, 1u);
+
+  // The second input's dims are wrong.
+  std::vector<runtime::Tensor> wrong_dims;
+  wrong_dims.push_back(inputs[0]);
+  wrong_dims.push_back(runtime::Tensor(graph::TensorShape{1, 12, 12, 5}));
+  util::StatusOr<std::vector<runtime::Tensor>> rejected =
+      client->Infer(plan->hash, wrong_dims);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(h.pool.stats().checkouts, checkouts);
+
+  // The second input's float array is 4 bytes short.
+  wire::Request request;
+  request.verb = wire::Verb::kInfer;
+  wire::AppendU64(&request.body, plan->hash.hi);
+  wire::AppendU64(&request.body, plan->hash.lo);
+  wire::AppendU32(&request.body, 2);
+  wire::AppendTensor(&request.body, inputs[0]);
+  wire::AppendTensor(&request.body, inputs[1]);
+  request.body.resize(request.body.size() - 4);
+  util::StatusOr<std::string> short_floats = client->Call(request, 10.0);
+  ASSERT_FALSE(short_floats.ok());
+  EXPECT_EQ(short_floats.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(h.pool.stats().checkouts, checkouts);
+
+  // The connection and the pooled session still serve correct answers.
+  util::StatusOr<std::vector<runtime::Tensor>> sinks =
+      client->Infer(plan->hash, inputs);
+  ASSERT_TRUE(sinks.ok()) << sinks.status().ToString();
+  EXPECT_EQ(ReferenceDivergence(*cached, inputs, *sinks), "");
+}
+
+TEST(TcpServer, BackToBackInfersOnPooledSessionsStayBitIdentical) {
+  Harness h;
+  util::StatusOr<TcpClient> client = TcpClient::Connect(h.server.port());
+  ASSERT_TRUE(client.ok());
+  std::vector<std::shared_ptr<const CachedPlan>> plans;
+  for (const graph::Graph& g :
+       {LateSecondInputGraph(), models::MakeSwiftNetCellA()}) {
+    util::StatusOr<RemotePlan> plan = client->Plan(serialize::ToText(g));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    plans.push_back(h.service.cache().Lookup(plan->hash));
+    ASSERT_NE(plans.back(), nullptr);
+  }
+  // The late input really is placed over an earlier buffer, so binding it
+  // before its step would corrupt the answer.
+  ASSERT_TRUE(SomeInputOverlapsAnEarlierBuffer(
+      plans[0]->result.scheduled_graph, plans[0]->plan));
+
+  constexpr int kRounds = 4;
+  for (int r = 0; r < kRounds; ++r) {
+    for (const std::shared_ptr<const CachedPlan>& cached : plans) {
+      const std::uint64_t seed = 100 + static_cast<std::uint64_t>(r);
+      const std::vector<runtime::Tensor> inputs =
+          serenity::testing::RandomInputsFor(cached->result.scheduled_graph,
+                                             seed);
+      util::StatusOr<std::vector<runtime::Tensor>> sinks =
+          client->Infer(cached->hash, inputs);
+      ASSERT_TRUE(sinks.ok()) << sinks.status().ToString();
+      EXPECT_EQ(ReferenceDivergence(*cached, inputs, *sinks), "")
+          << cached->result.scheduled_graph.name() << " round " << r;
+    }
+  }
+  // One session per graph, reused by every later infer on it.
+  const SessionPoolStats pool = h.pool.stats();
+  EXPECT_EQ(pool.creations, plans.size());
+  EXPECT_EQ(pool.reuses, plans.size() * (kRounds - 1));
 }
 
 }  // namespace
