@@ -150,7 +150,6 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
           ScheduleWithSoftBudget(segment.subgraph, sb_options);
       result.states_expanded += sb.TotalStates();
       result.states_pruned_by_bound += sb.TotalPrunedByBound();
-      result.pruned += sb.TotalPruned();
       result.max_level_states =
           std::max(result.max_level_states, sb.max_level_states);
       if (sb.status != DpStatus::kSolution) {
@@ -185,7 +184,6 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       const DpResult dp = ScheduleDp(segment.subgraph, dp_options);
       result.states_expanded += dp.states_expanded;
       result.states_pruned_by_bound += dp.states_pruned_by_bound;
-      result.pruned += dp.pruned;
       result.max_level_states =
           std::max(result.max_level_states, dp.max_level_states);
       if (dp.status != DpStatus::kSolution) {

@@ -40,9 +40,9 @@ struct BeamOptions {
   // greedy baseline, when the beam runs as an incumbent refiner in
   // core/pipeline): parents and transitions whose admissible lower bound —
   // best peak, residual, one-step frontier floor, or step peak — STRICTLY
-  // exceeds this value are skipped before they compete for beam slots; the
-  // same floors the DP consults, streamed (satellite: `sched/beam` streamed
-  // levels consult the same floors). If the cut empties a level the beam
+  // exceeds this value are skipped before they compete for beam slots —
+  // the same floors the DP consults, applied to streamed beam levels. If
+  // the cut empties a level the beam
   // reports NotFound — every width-limited path exceeded the bound, so the
   // caller's existing incumbent already wins. The default (max) disables
   // the cut entirely, keeping plain beam results bit-identical.

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <initializer_list>
 #include <limits>
-#include <thread>
 
 #include "testing/fault_injection.h"
 #include "util/crc32.h"
@@ -185,16 +184,6 @@ util::Status WritePayload(int fd, std::string_view head, std::string_view body,
     return util::DataLossError("injected torn frame: wrote " +
                                std::to_string(half) + " of " +
                                std::to_string(frame_bytes) + " bytes");
-  }
-  if (testing::FaultTriggered(testing::FaultPoint::kSocketDelayedByte)) {
-    // Slow-loris: start the frame, stall, then finish. A receiver with a
-    // frame deadline must cut us off during the stall.
-    const std::size_t head_bytes = 2;
-    SERENITY_RETURN_IF_ERROR(
-        SendAllUntil(fd, frame, 0, head_bytes, deadline));
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(testing::SocketDelayMillis()));
-    return SendAllUntil(fd, frame, head_bytes, frame_bytes, deadline);
   }
   if (testing::FaultTriggered(testing::FaultPoint::kSocketMidStreamClose)) {
     SERENITY_RETURN_IF_ERROR(

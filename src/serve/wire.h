@@ -34,9 +34,10 @@
 // distinguishes an *idle* timeout (waiting for a frame to begin — benign on
 // a persistent connection) from a *frame* timeout (a frame that started but
 // trickles — the slow-loris signature, answered by closing the connection).
-// Fault-injection hooks for torn frames, delayed bytes and mid-stream
-// closes live in the frame writer (testing/fault_injection.h), which is how
-// the net chaos suite manufactures wire damage deterministically.
+// Fault-injection hooks for torn frames and mid-stream closes live in the
+// frame writer (testing/fault_injection.h), which is how the net chaos
+// suite manufactures wire damage deterministically; it writes slow-loris
+// trickles itself, as raw bytes.
 //
 // The infer path moves hundreds of KiB per request, so the codec runs at
 // memcpy speed: f32 arrays are copied as little-endian words in one block

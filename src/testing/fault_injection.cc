@@ -14,25 +14,12 @@ const char* ToString(FaultPoint point) {
     case FaultPoint::kArenaAllocation: return "arena_allocation";
     case FaultPoint::kSessionCheckout: return "session_checkout";
     case FaultPoint::kSocketTornFrame: return "socket_torn_frame";
-    case FaultPoint::kSocketDelayedByte: return "socket_delayed_byte";
     case FaultPoint::kSocketMidStreamClose: return "socket_mid_stream_close";
     case FaultPoint::kBudgetDenial: return "budget_denial";
     case FaultPoint::kCancelPoll: return "cancel_poll";
     case FaultPoint::kNumFaultPoints: break;
   }
   return "unknown";
-}
-
-namespace {
-std::atomic<int> g_socket_delay_millis{100};
-}  // namespace
-
-void SetSocketDelayMillis(int millis) {
-  g_socket_delay_millis.store(millis, std::memory_order_relaxed);
-}
-
-int SocketDelayMillis() {
-  return g_socket_delay_millis.load(std::memory_order_relaxed);
 }
 
 FaultInjector& FaultInjector::Global() {

@@ -45,10 +45,6 @@ enum class FaultPoint : int {
   //     peer, then the write stops (the caller is told via kDataLoss and
   //     closes, leaving the peer with a torn frame).
   kSocketTornFrame,
-  //   * kSocketDelayedByte — the frame trickles out with a long stall after
-  //     the first bytes (slow-loris); a peer enforcing a frame deadline
-  //     must cut the connection instead of wedging a worker.
-  kSocketDelayedByte,
   //   * kSocketMidStreamClose — the frame is written in full and the socket
   //     is immediately shut down, so the peer's reply hits a dead
   //     connection (EPIPE path, which must never raise SIGPIPE or abort).
@@ -64,11 +60,6 @@ enum class FaultPoint : int {
   kCancelPoll,
   kNumFaultPoints,  // sentinel
 };
-
-// Stall length used when kSocketDelayedByte fires (settable so tests can
-// size it against the server's frame deadline). Thread-safe.
-void SetSocketDelayMillis(int millis);
-int SocketDelayMillis();
 
 const char* ToString(FaultPoint point);
 

@@ -33,6 +33,9 @@ namespace {
 namespace ftest = serenity::testing;
 
 constexpr int kSeeds = 1000;
+// Slow-loris stall between the first bytes of a frame and the rest; longer
+// than the server's 40ms frame deadline below.
+constexpr int kLorisStallMillis = 80;
 
 std::string FrameFor(const std::string& payload) {
   std::string frame;
@@ -53,7 +56,6 @@ class NetChaosTest : public ::testing::Test {
     options.max_frame_bytes = 1u << 20;
     server_ = std::make_unique<TcpServer>(service_, pool_, options);
     ASSERT_TRUE(server_->Start().ok());
-    ftest::SetSocketDelayMillis(80);  // stall > frame timeout
 
     // Plan the probe graph once; every probe infer verifies against these
     // precomputed reference sinks, bit for bit.
@@ -72,8 +74,6 @@ class NetChaosTest : public ::testing::Test {
     reference.Run(probe_inputs_, cached->plan.schedule);
     probe_expect_ = reference.SinkValues();
   }
-
-  void TearDown() override { ftest::SetSocketDelayMillis(100); }
 
   // Liveness + correctness gate after every fault: the probe connection
   // (reconnecting if a fault's collateral closed it) serves an inference
@@ -149,13 +149,30 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
         break;
       }
       case 3: {
-        // Slow-loris: the request trickles with an 80ms stall against a
-        // 40ms frame deadline. The server must cut the connection rather
-        // than wedge a worker; the client's call fails cleanly.
+        // Slow-loris: a health request trickles out with a stall after its
+        // first bytes, against a 40ms frame deadline. The server must cut
+        // the connection rather than wedge a worker, so no reply ever
+        // arrives. The stall lasts at least 80ms and until the server
+        // hangs up (the socket turns readable at EOF), so a worker that
+        // picks the connection up late still sees a stalled frame, never
+        // a whole one; a server that never cuts gets the rest after 5s and
+        // answers, which fails the check below. The rest of the frame may
+        // hit the closed socket; that write's status is irrelevant.
         util::StatusOr<TcpClient> client = ChaosClient();
         ASSERT_TRUE(client.ok());
-        ftest::ScopedFault fault(ftest::FaultPoint::kSocketDelayedByte);
-        util::StatusOr<std::string> result = client->Health(2.0);
+        wire::Request request;
+        request.verb = wire::Verb::kHealth;
+        const std::string frame = FrameFor(wire::EncodeRequest(request));
+        constexpr std::size_t kHeadBytes = 2;
+        ASSERT_TRUE(
+            wire::SendAll(client->fd(), frame.data(), kHeadBytes, 1.0).ok());
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(kLorisStallMillis));
+        (void)wire::WaitReadable(client->fd(), 5.0);
+        (void)wire::SendAll(client->fd(), frame.data() + kHeadBytes,
+                            frame.size() - kHeadBytes, 1.0);
+        util::StatusOr<std::string> result =
+            wire::ReadFrame(client->fd(), 1u << 20, 2.0, 2.0);
         EXPECT_FALSE(result.ok());
         break;
       }

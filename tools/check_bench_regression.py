@@ -19,9 +19,8 @@ Deterministic vs timing is decided by field name: anything containing
 is a timing; every other numeric field must match the baseline exactly
 (1e-9 relative tolerance for float formatting). String fields identify rows
 and must match exactly. Fields starting with "states_" — the search-space
-counters, including the per-bound prune attribution
-(states_pruned_by_{incumbent,residual,frontier_floor,lookahead,dominance})
-— are ALWAYS deterministic, marker matches notwithstanding: they are exact
+counters (states_expanded, states_pruned_by_bound) — are ALWAYS
+deterministic, marker matches notwithstanding: they are exact
 state counts of a deterministic search, identical across machines and
 thread counts, and any drift is a behavior change that must be
 re-baselined deliberately.
@@ -42,7 +41,7 @@ TIMING_MARKERS = ("seconds", "per_sec", "speedup", "wall", "rps", "p50",
                   "p99", "latency")
 
 # Exact state counts of the deterministic search (states_expanded,
-# states_pruned_by_bound and its per-bound breakdown). Deterministic no
+# states_pruned_by_bound). Deterministic no
 # matter what timing markers a future field name happens to contain.
 DETERMINISTIC_PREFIXES = ("states_",)
 
